@@ -1,6 +1,7 @@
 package repro.core.adapt
 
 import repro.core.lp.LoadFactorLP
+import repro.core.model.Calibration.{DetectEpochs, DrainedThres, IdleThres, LoadFactorGrid}
 
 /** Cost/relay/budget estimates produced by a Profile epoch (paper §IV-C).
   *
@@ -69,14 +70,7 @@ final case class EpochLog(
   * @param fineTune iterate StepWise-Adapt fine-tuning (false reproduces the
   *                 paper's "LP only" baseline)
   */
-final case class RuntimeConfig(
-    lpInit: Boolean = true,
-    fineTune: Boolean = true,
-    detectEpochs: Int = 3,
-    drainedThres: Double = 0.05,
-    idleThres: Double = 0.10,
-    grid: Int = 20,
-)
+final case class RuntimeConfig(lpInit: Boolean = true, fineTune: Boolean = true)
 
 object RuntimeConfig {
   val Jarvis: RuntimeConfig = RuntimeConfig()
@@ -89,7 +83,7 @@ object RuntimeConfig {
   * Drives an [[EpochExecutor]] one epoch at a time:
   *
   *  - Startup: all load factors zero (everything drains to the SP).
-  *  - Probe: classify each epoch; `detectEpochs` consecutive non-stable
+  *  - Probe: classify each epoch; `DetectEpochs` consecutive non-stable
   *    epochs trigger adaptation (scheduling noise tolerance, §VI-C).
   *  - Profile: one epoch of per-operator cost/relay/budget estimation.
   *  - Adapt: seed load factors (LP over the estimates, or zero for the
@@ -102,7 +96,7 @@ final class JarvisRuntime(executor: EpochExecutor, config: RuntimeConfig = Runti
   private var pVec: Vector[Double] = Vector.fill(m)(0.0)
   private var nonStableStreak = 0
   private var epochIdx = 0
-  private var tuner = new StepWiseAdapt(executor.observedByteRelays, config.grid)
+  private var tuner = new StepWiseAdapt(executor.observedByteRelays, LoadFactorGrid)
   private var adaptEpochsCurrent = 0
 
   private val logBuf = Vector.newBuilder[EpochLog]
@@ -120,12 +114,12 @@ final class JarvisRuntime(executor: EpochExecutor, config: RuntimeConfig = Runti
     * correct LP solution never over-subscribes from discretization alone.
     */
   private def discretize(e: Vector[Double]): Vector[Double] = {
-    val eg = e.map(x => math.floor(x * config.grid) / config.grid)
-    LoadFactorLP.eToP(eg).map(x => math.round(x * config.grid).toDouble / config.grid)
+    val eg = e.map(x => math.floor(x * LoadFactorGrid) / LoadFactorGrid)
+    LoadFactorLP.eToP(eg).map(x => math.round(x * LoadFactorGrid).toDouble / LoadFactorGrid)
   }
 
   private def classify(obs: EpochObs): PipelineState =
-    PipelineState.classify(obs, pVec, config.drainedThres, config.idleThres)
+    PipelineState.classify(obs, pVec, DrainedThres, IdleThres)
 
   /** Advance the control loop by one epoch. Returns this epoch's log entry. */
   def step(): EpochLog = {
@@ -141,7 +135,7 @@ final class JarvisRuntime(executor: EpochExecutor, config: RuntimeConfig = Runti
         val st = classify(obs)
         if (st == PipelineState.Stable) nonStableStreak = 0
         else nonStableStreak += 1
-        if (nonStableStreak >= config.detectEpochs) {
+        if (nonStableStreak >= DetectEpochs) {
           phase = Phase.Profile
           nonStableStreak = 0
         }
@@ -154,7 +148,7 @@ final class JarvisRuntime(executor: EpochExecutor, config: RuntimeConfig = Runti
             val sol = LoadFactorLP.solve(est.costs, est.recRelays, est.bytesAtOp, est.budgetPerRec)
             discretize(sol.e)
           } else Vector.fill(m)(0.0)
-        tuner = new StepWiseAdapt(executor.observedByteRelays, config.grid)
+        tuner = new StepWiseAdapt(executor.observedByteRelays, LoadFactorGrid)
         adaptEpochsCurrent = 0
         phase = Phase.Adapt
         EpochLog(epochIdx, Phase.Profile, PipelineState.Stable, pVec, None)

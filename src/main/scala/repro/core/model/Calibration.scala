@@ -114,12 +114,6 @@ object Calibration {
     */
   val PerQueryLinkMbps: Double = 10000.0 / 20
 
-  /** Stream-processor cores available per query (m5a.16xlarge, 64 cores,
-    * 20 queries) — the steady-state share under the paper's network
-    * assumptions.
-    */
-  val SpCoresPerQuery: Double = 64.0 / 20
-
   /** SP cores available in the multi-source scaling experiments (Fig. 10):
     * one query under test on the 64-core m5a.16xlarge, ~75 % usable after
     * engine overhead.

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.adapt._
 import repro.core.lp.LoadFactorLP
-import repro.core.model.{Calibration, QuerySpec}
+import repro.core.model.{Calibration, PlanFlow, QuerySpec}
 
 /** [[EpochExecutor]] backed by real Spark execution of the S2SProbe
   * pipeline, one micro-batch per epoch (the Structured-Streaming mapping of
@@ -12,11 +12,11 @@ import repro.core.model.{Calibration, QuerySpec}
   * `foreachBatch`).
   *
   * The record flow (incoming / forwarded / relay) is *measured* from the
-  * actual batch with one aggregate pass; the CPU-budget arithmetic is the
-  * calibrated cost model (a local[*] driver cannot throttle a fractional
-  * core — documented substitution). The partitioned result of every epoch is
-  * available via [[lastResult]] so tests can assert losslessness *while the
-  * control loop is adapting*.
+  * actual batch with one aggregate pass and fed to [[PlanFlow.evaluate]];
+  * the CPU-budget arithmetic is the calibrated cost model (a local[*] driver
+  * cannot throttle a fractional core — documented substitution). The
+  * partitioned result of every epoch is available via [[lastResult]] so
+  * tests can assert losslessness *while the control loop is adapting*.
   */
 final class EpochSparkDriver(
     spark: SparkSession,
@@ -64,29 +64,15 @@ final class EpochSparkDriver(
 
     // Proxy 1 (F) forwards u < e1 of all records; proxy 2 (G+R) receives
     // F's survivors (errCode == 0 with u < e1) and forwards the u < e2
-    // subset to the local aggregate.
+    // subset to the local aggregate. The flow model takes these counts as
+    // the epoch's lanes; F's forwarded count is modelled as floor(n·e1).
     val (n, intoGr, localGr) = laneCounts(batch, e)
     val fIntended = (n * e(0)).toLong
-    val ops = querySpec.ops
-    val demand = fIntended * ops(0).costSecPerRec + localGr * ops(1).costSecPerRec
-    val budget = budgetCores * Calibration.EpochSeconds
-    val scale =
-      if (demand <= budget || demand <= 0) 1.0
-      else math.pow(budget / demand, 1.0 + Calibration.OverloadAlpha)
-
-    val proxies = Vector(
-      ProxyObs(incoming = n.toDouble, intended = fIntended.toDouble, processed = fIntended * scale),
-      ProxyObs(incoming = intoGr.toDouble, intended = localGr.toDouble,
-        processed = localGr * scale),
+    val lanes = new PlanFlow.Measured(
+      incoming = Array(n.toDouble, intoGr.toDouble),
+      intended = Array(fIntended.toDouble, localGr.toDouble),
     )
-    val drainedBytes =
-      (n - fIntended) * ops(0).bytesInPerRec +
-        (intoGr - localGr) * ops(1).bytesInPerRec +
-        (fIntended - fIntended * scale) * ops(0).bytesInPerRec
-    val outputBytes = math.min(localGr.toDouble, ops(1).groupCount.toDouble) * ops(1).bytesOutPerRec /
-      ops(1).windowEpochs
-    EpochObs(proxies, cpuDemand = demand, cpuBudget = budget,
-      drainedBytes = drainedBytes, outputBytes = outputBytes)
+    PlanFlow.evaluate(querySpec, p, budgetCores * Calibration.EpochSeconds, n.toDouble, lanes)
   }
 
   def runProfileEpoch(): ProfileEstimates = {

@@ -1,7 +1,7 @@
 package repro.sim
 
 import repro.core.lp.LoadFactorLP
-import repro.core.model.{Calibration, QuerySpec}
+import repro.core.model.{Calibration, PlanFlow, QuerySpec}
 import repro.core.strategy.PartitionStrategy
 
 /** Steady-state performance of one data source under a partitioning plan. */
@@ -34,66 +34,40 @@ final case class SourcePerf(
   */
 object ClusterSim {
 
-  /** Evaluate a plan `e` on one source at `inputRate` records/s. */
+  /** Plan `strategy` for one source at `inputMbps` and evaluate the plan. */
   def sourcePerf(
       q: QuerySpec,
-      e: Vector[Double],
+      strategy: PartitionStrategy,
       budgetCores: Double,
-      inputRate: Double,
-      drainsOverflow: Boolean,
+      inputMbps: Double,
   ): SourcePerf = {
+    val rate = q.recsPerSecFor(inputMbps)
+    val e = strategy.effectiveLoadFactors(q, budgetCores, rate)
     val p = LoadFactorLP.eToP(e)
     val ops = q.ops
+    val flow = PlanFlow.evaluate(q, p, budgetCores, rate)
 
-    // Intended flow and demand.
-    var in = inputRate
-    var demand = 0.0
-    val intendedFwd = new Array[Double](q.numOps)
-    for (i <- 0 until q.numOps) {
-      intendedFwd(i) = p(i) * in
-      demand += intendedFwd(i) * ops(i).costSecPerRec
-      in = ops(i).outRecsPerSec(intendedFwd(i))
-    }
-
-    val scale =
-      if (demand <= budgetCores || demand <= 0) 1.0
-      else math.pow(budgetCores / demand, 1.0 + Calibration.OverloadAlpha)
-
-    if (!drainsOverflow) {
+    if (!strategy.drainsOverflow) {
       // All-Src: unprocessable records backlog; sustained input = processed.
-      val sustained = inputRate * scale
+      val sustained = rate * PlanFlow.overloadScale(flow.cpuDemand, budgetCores)
       var r = sustained
       for (i <- 0 until q.numOps) r = ops(i).outRecsPerSec(p(i) * r)
       val outMbps = r * ops.last.bytesOutPerRec * 8 / 1e6
-      return SourcePerf(outMbps, demand, sustained, 0.0, e)
+      SourcePerf(outMbps, flow.cpuDemand, sustained, 0.0, e)
+    } else {
+      // Drain-capable: shortfall force-drains; all input leaves the node.
+      // Remaining per-record SP cost from operator i to the end, accounting
+      // for record relays along the rest of the chain.
+      val remainingCost = Array.fill(q.numOps + 1)(0.0)
+      for (i <- (q.numOps - 1) to 0 by -1)
+        remainingCost(i) = ops(i).costSecPerRec + ops(i).recRelay * remainingCost(i + 1)
+      var spDemand = 0.0
+      for (i <- 0 until q.numOps) {
+        val px = flow.proxies(i)
+        spDemand += ((px.incoming - px.intended) + (px.intended - px.processed)) * remainingCost(i)
+      }
+      SourcePerf(flow.netBytes * 8 / 1e6, flow.cpuDemand, rate, spDemand, e)
     }
-
-    // Drain-capable: shortfall force-drains; all input leaves the node.
-    var drainedBytes = 0.0
-    var spDemand = 0.0
-    // Remaining per-record SP cost from operator i to the end, accounting
-    // for record relays along the rest of the chain.
-    val remainingCost = Array.fill(q.numOps + 1)(0.0)
-    for (i <- (q.numOps - 1) to 0 by -1)
-      remainingCost(i) = ops(i).costSecPerRec + ops(i).recRelay * remainingCost(i + 1)
-
-    in = inputRate
-    for (i <- 0 until q.numOps) {
-      val intended = p(i) * in
-      val processed = intended * scale
-      val drained = (in - intended) + (intended - processed)
-      drainedBytes += drained * ops(i).bytesInPerRec
-      spDemand += drained * remainingCost(i)
-      in = ops(i).outRecsPerSec(processed)
-    }
-    val outputBytes = in * ops.last.bytesOutPerRec
-    SourcePerf(
-      netMbps = (drainedBytes + outputBytes) * 8 / 1e6,
-      cpuDemandCores = demand,
-      processLimitRecsPerSec = inputRate,
-      spDemandCores = spDemand,
-      e = e,
-    )
   }
 
   /** One row of the single-source throughput tables (T1 / Fig. 7). */
@@ -116,10 +90,7 @@ object ClusterSim {
       inputMbps: Double,
       bandwidthMbps: Double,
   ): ThroughputResult = {
-    val rate = q.recsPerSecFor(inputMbps)
-    val budget = budgetPct / 100.0
-    val e = strategy.effectiveLoadFactors(q, budget, rate)
-    val perf = sourcePerf(q, e, budget, rate, strategy.drainsOverflow)
+    val perf = sourcePerf(q, strategy, budgetPct / 100.0, inputMbps)
     val netLimited =
       if (perf.netMbps <= bandwidthMbps || perf.netMbps <= 0) inputMbps
       else inputMbps * bandwidthMbps / perf.netMbps
@@ -130,7 +101,7 @@ object ClusterSim {
       math.min(netLimited, procLimited),
       perf.netMbps,
       perf.cpuDemandCores,
-      e,
+      perf.e,
     )
   }
 
@@ -156,15 +127,23 @@ object ClusterSim {
       budgetCores: Double,
       inputMbps: Double,
       nSources: Int,
-      linkMbps: Double = Calibration.PerQueryLinkMbps,
-      spCores: Double = Calibration.SpCoresScaling,
   ): ScalingResult = {
-    val rate = q.recsPerSecFor(inputMbps)
-    val e = strategy.effectiveLoadFactors(q, budgetCores, rate)
-    val perf = sourcePerf(q, e, budgetCores, rate, strategy.drainsOverflow)
+    val perf = sourcePerf(q, strategy, budgetCores, inputMbps)
+    scaleToSources(q, strategy.name, perf, inputMbps, nSources)
+  }
 
-    val netUtil = nSources * perf.netMbps / linkMbps
-    val spUtil = nSources * perf.spDemandCores / spCores
+  /** `nSources` sources that each run the plan evaluated as `perf`, sharing
+    * the SP's link and cores.
+    */
+  private def scaleToSources(
+      q: QuerySpec,
+      strategyName: String,
+      perf: SourcePerf,
+      inputMbps: Double,
+      nSources: Int,
+  ): ScalingResult = {
+    val netUtil = nSources * perf.netMbps / Calibration.PerQueryLinkMbps
+    val spUtil = nSources * perf.spDemandCores / Calibration.SpCoresScaling
     val u = math.max(netUtil, spUtil)
     val perSourceIn = math.min(q.mbps(perf.processLimitRecsPerSec), inputMbps)
     val agg = nSources * perSourceIn * math.min(1.0, 1.0 / math.max(u, 1e-9))
@@ -178,7 +157,7 @@ object ClusterSim {
         // ">60 s" sentinel.
         (60e3, 300e3)
       }
-    ScalingResult(strategy.name, nSources, agg, perf.netMbps, netUtil, medianMs, maxMs)
+    ScalingResult(strategyName, nSources, agg, perf.netMbps, netUtil, medianMs, maxMs)
   }
 
   /** Largest source count for which aggregate throughput still scales
@@ -192,9 +171,10 @@ object ClusterSim {
       upTo: Int = 300,
       tolerance: Double = 0.98,
   ): Int = {
+    val perf = sourcePerf(q, strategy, budgetCores, inputMbps)
     var best = 0
     for (n <- 1 to upTo) {
-      val r = multiSourceThroughput(q, strategy, budgetCores, inputMbps, n)
+      val r = scaleToSources(q, strategy.name, perf, inputMbps, n)
       if (r.aggThroughputMbps >= tolerance * n * inputMbps) best = n
     }
     best

@@ -1,6 +1,6 @@
 package repro.sim
 
-import repro.core.model.Calibration
+import repro.core.model.PlanFlow
 
 /** Multiple query instances on one Jarvis-enabled data source node
   * (paper §VI-F, Fig. 11).
@@ -10,7 +10,8 @@ import repro.core.model.Calibration
   * allocation policy, and each runtime instance adds a small fixed overhead
   * (control proxies + Jarvis runtime bookkeeping). When the summed demand
   * exceeds the cores, every query degrades equally with the same
-  * super-linear overload model as the single-query simulator.
+  * super-linear overload model as the single-query simulator
+  * ([[PlanFlow.overloadScale]]).
   */
 object MultiQuerySim {
 
@@ -41,14 +42,11 @@ object MultiQuerySim {
       perQueryInputMbps: Double,
   ): MultiQueryResult = {
     val demand = nQueries * (perQueryDemandCores + PerQueryOverheadCores)
-    val scale =
-      if (demand <= cores || demand <= 0) 1.0
-      else math.pow(cores / demand, 1.0 + Calibration.OverloadAlpha)
     MultiQueryResult(
       cores = cores,
       nQueries = nQueries,
       perQueryDemandCores = perQueryDemandCores,
-      aggThroughputMbps = nQueries * perQueryInputMbps * scale,
+      aggThroughputMbps = nQueries * perQueryInputMbps * PlanFlow.overloadScale(demand, cores),
       saturated = demand > cores,
     )
   }

@@ -1,7 +1,7 @@
 package repro.sim
 
 import repro.core.adapt._
-import repro.core.model.{Calibration, QuerySpec}
+import repro.core.model.{Calibration, PlanFlow, QuerySpec}
 
 /** Deterministic pseudo-random stream (no java.util.Random so runs are
   * reproducible from the seed alone).
@@ -19,13 +19,12 @@ final class Lcg(seed: Long) {
   * node — the substrate substituting for the paper's MiNiFi agent on a
   * t2.micro (DESIGN.md §2).
   *
-  * Per epoch: records arrive at the configured rate, each control proxy
-  * forwards `p_i` of its incoming records to the local operator and drains
-  * the rest; when the summed demand exceeds the CPU budget, effective
-  * processing degrades super-linearly ((C/D)^(1+α), Calibration.OverloadAlpha)
-  * and unprocessed records are force-drained so the epoch's latency bound
-  * holds. Conditions (budget, rate, operator costs) are mutable so scenarios
-  * can change them mid-run.
+  * Per epoch: records arrive at the configured rate and flow through the
+  * plan as [[PlanFlow.evaluate]] models it: each control proxy forwards
+  * `p_i` of its incoming records to the local operator and drains the rest,
+  * and under overload the unprocessed records are force-drained so the
+  * epoch's latency bound holds. Conditions (budget, rate, operator costs)
+  * are mutable so scenarios can change them mid-run.
   *
   * Profiling (paper §IV-C "Profile") runs each operator in a budget slice
   * of the epoch; when the slice processes only a fraction of the operator's
@@ -58,53 +57,7 @@ final class SourceNodeSim(
   def runEpoch(p: Vector[Double]): EpochObs = {
     require(p.length == numOps, "load factor arity mismatch")
     val epoch = Calibration.EpochSeconds
-    val n = inputRecsPerSec * epoch
-    val ops = querySpec.ops
-
-    // Pass 1: intended flow (everything forwarded gets processed).
-    val intendedIn = new Array[Double](numOps)
-    val intendedFwd = new Array[Double](numOps)
-    var in = n
-    var i = 0
-    while (i < numOps) {
-      intendedIn(i) = in
-      intendedFwd(i) = p(i) * in
-      in = ops(i).outRecsPerSec(intendedFwd(i))
-      i += 1
-    }
-    val demand = (0 until numOps).map(i => intendedFwd(i) * ops(i).costSecPerRec).sum
-    val budget = budgetCores * epoch
-    val scale =
-      if (demand <= budget || demand <= 0) 1.0
-      else math.pow(budget / demand, 1.0 + Calibration.OverloadAlpha)
-
-    // Pass 2: effective flow under the processing scale; shortfall at each
-    // proxy is force-drained (compounding downstream, as backpressure does).
-    val incoming = new Array[Double](numOps)
-    val intended = new Array[Double](numOps)
-    val processed = new Array[Double](numOps)
-    var drainedBytes = 0.0
-    in = n
-    i = 0
-    while (i < numOps) {
-      incoming(i) = in
-      intended(i) = p(i) * in
-      processed(i) = intended(i) * scale
-      val plannedDrain = in - intended(i)
-      val forcedDrain = intended(i) - processed(i)
-      drainedBytes += (plannedDrain + forcedDrain) * ops(i).bytesInPerRec
-      in = ops(i).outRecsPerSec(processed(i))
-      i += 1
-    }
-    val outputBytes = in * ops.last.bytesOutPerRec
-
-    EpochObs(
-      proxies = Vector.tabulate(numOps)(i => ProxyObs(incoming(i), intended(i), processed(i))),
-      cpuDemand = demand,
-      cpuBudget = budget,
-      drainedBytes = drainedBytes,
-      outputBytes = outputBytes,
-    )
+    PlanFlow.evaluate(querySpec, p, budgetCores * epoch, inputRecsPerSec * epoch)
   }
 
   def runProfileEpoch(): ProfileEstimates = {

@@ -1,8 +1,9 @@
 package repro.dataflow
 
 import org.apache.spark.sql.DataFrame
-import repro.core.adapt.{JarvisRuntime, Phase}
+import repro.core.adapt.{EpochObs, JarvisRuntime, Phase}
 import repro.core.model.{OpKind, OperatorSpec, QuerySpec}
+import repro.sim.SourceNodeSim
 import repro.{DfCompare, SparkSpec}
 
 /** The Jarvis control loop driving *real Spark execution* epoch by epoch:
@@ -90,6 +91,42 @@ class EpochSparkDriverSpec extends SparkSpec {
     // Final plan fits the reduced budget.
     val obs = d.runEpoch(rt.loadFactors)
     assert(obs.cpuDemand <= obs.cpuBudget * 1.1, s"demand=${obs.cpuDemand}")
+  }
+
+  test("the simulator and the Spark driver account an epoch the same way") {
+    // (budget, p): empty, partial and full plans, and two overloaded ones.
+    val cases = Seq(
+      1.0 -> Vector(0.0, 0.0), 1.0 -> Vector(1.0, 1.0), 1.0 -> Vector(1.0, 0.5),
+      1.0 -> Vector(0.5, 1.0), 0.6 -> Vector(0.7, 0.3), 0.3 -> Vector(1.0, 1.0),
+      0.4 -> Vector(0.8, 0.6),
+    )
+    val ops = testSpec.ops
+    def drainedOf(obs: EpochObs): Double =
+      obs.proxies.zip(ops).foldLeft(0.0) { case (acc, (px, op)) =>
+        acc + ((px.incoming - px.intended) + (px.intended - px.processed)) * op.bytesInPerRec
+      }
+    def outputOf(obs: EpochObs): Double =
+      ops.last.outRecsPerSec(obs.proxies.last.processed) * ops.last.bytesOutPerRec
+
+    val driver = newDriver(1.0)
+    for ((budget, p) <- cases) {
+      driver.budgetCores = budget
+      val onSpark = driver.runEpoch(p)
+      val simulated = new SourceNodeSim(testSpec, budget, RecsPerEpoch).runEpoch(p)
+      for ((name, obs) <- Seq("Spark" -> onSpark, "sim" -> simulated)) {
+        assert(obs.drainedBytes == drainedOf(obs), s"$name drained bytes at $p, budget $budget")
+        assert(obs.outputBytes == outputOf(obs), s"$name output bytes at $p, budget $budget")
+      }
+      // The driver counts the G+R lane, where each of the n records lands
+      // with probability pi = 0.86·e2, and floors F's modelled count. Allow
+      // four binomial standard deviations of that lane plus one F record.
+      val e2 = p(0) * p(1)
+      val pi = ops(0).recRelay * e2
+      val sd = math.sqrt(RecsPerEpoch * pi * (1 - pi))
+      val tolerance = 4 * sd * ops(1).costSecPerRec + ops(0).costSecPerRec
+      assert(math.abs(onSpark.cpuDemand - simulated.cpuDemand) <= tolerance + 1e-12,
+        s"demand at $p: Spark ${onSpark.cpuDemand} vs sim ${simulated.cpuDemand}, tolerance $tolerance")
+    }
   }
 
   test("profile epochs appear in the phase log") {
