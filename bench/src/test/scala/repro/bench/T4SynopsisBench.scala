@@ -62,7 +62,7 @@ class T4SynopsisBench extends SparkSpec {
       val e = PartitionStrategy.Jarvis.effectiveLoadFactors(q, 0.6, q.inputRecsPerSec)
       val eGrid = e.map(x => math.floor(x * 20) / 20) // runtime's discretized plan
       DfCompare.assertSameRows(
-        PartitionedExec.s2s(pings, eGrid),
+        PartitionedExec.S2S.run(pings, PartitionedExec.S2S.lanes(eGrid)).result,
         Queries.s2sFull(pings),
         "Jarvis losslessness at scale")
       // e really is an interior (partial) plan, not a degenerate one.

@@ -1,7 +1,7 @@
 package repro.dataflow
 
+import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core.adapt._
 import repro.core.lp.LoadFactorLP
 import repro.core.model.{Calibration, PlanFlow, QuerySpec}
@@ -11,12 +11,13 @@ import repro.core.model.{Calibration, PlanFlow, QuerySpec}
   * DESIGN.md §2; `jobs/StreamingDemoJob` runs the identical function under
   * `foreachBatch`).
   *
-  * The record flow (incoming / forwarded / relay) is *measured* from the
-  * actual batch with one aggregate pass and fed to [[PlanFlow.evaluate]];
-  * the CPU-budget arithmetic is the calibrated cost model (a local[*] driver
-  * cannot throttle a fractional core — documented substitution). The
-  * partitioned result of every epoch is available via [[lastResult]] so
-  * tests can assert losslessness *while the control loop is adapting*.
+  * Every epoch, Profile epochs included, runs the partitioned plan with one
+  * action. The record flow (incoming / forwarded / relay) is *observed*
+  * during that action and fed to [[PlanFlow.evaluate]]; the CPU-budget
+  * arithmetic is the calibrated cost model (a local[*] driver cannot
+  * throttle a fractional core — documented substitution). The collected
+  * result of every epoch is available via [[lastResult]] so tests can assert
+  * losslessness *while the control loop is adapting*.
   */
 final class EpochSparkDriver(
     spark: SparkSession,
@@ -27,71 +28,56 @@ final class EpochSparkDriver(
 
   require(querySpec.numOps == 2, "EpochSparkDriver drives the 2-operator S2SProbe pipeline")
 
+  private val query = PartitionedExec.S2S
   private var epoch = 0
+  private var lastE: Seq[Double] = Seq(0.0, 0.0)
   private var lastResultDf: Option[DataFrame] = None
-  private var lastBatchDf: Option[DataFrame] = None
 
   def numOps: Int = 2
   def currentEpoch: Int = epoch
+  /** The partitioned result of the last epoch, collected to the driver. */
   def lastResult: Option[DataFrame] = lastResultDf
-  def lastBatch: Option[DataFrame] = lastBatchDf
 
   def observedByteRelays: Vector[Double] =
     querySpec.byteRelays(math.max(querySpec.inputRecsPerSec, 1.0))
 
-  /** Measure the lane record counts of one batch under effective load
-    * factors `e` in a single aggregate pass.
+  /** Run the plan under `e` on the next batch: one action, whose rows
+    * become [[lastResult]]; returns the observed lane counts.
     */
-  private def laneCounts(batch: DataFrame, e: Vector[Double]): (Long, Long, Long) = {
-    val u = PartitionedExec.uCol(col("recId"))
-    val row = batch
-      .select(
-        count(lit(1)) as "n",
-        sum(when(u < e(0) && col("errCode") === 0, 1L).otherwise(0L)) as "intoGr",
-        sum(when(u < e(1) && col("errCode") === 0, 1L).otherwise(0L)) as "localGr",
-      )
-      .collect()(0)
-    (row.getLong(0), Option(row.get(1)).map(_.toString.toLong).getOrElse(0L),
-      Option(row.get(2)).map(_.toString.toLong).getOrElse(0L))
+  private def runPlan(e: Seq[Double]): Seq[PartitionedExec.LaneCounts] = {
+    val pass = query.run(batchFor(epoch), query.lanes(e))
+    val rows = pass.result.collect()
+    lastResultDf = Some(spark.createDataFrame(rows.toSeq.asJava, pass.result.schema))
+    lastE = e
+    epoch += 1
+    pass.laneCounts
   }
 
   def runEpoch(p: Vector[Double]): EpochObs = {
     val e = LoadFactorLP.pToE(p)
-    val batch = batchFor(epoch)
-    lastBatchDf = Some(batch)
-    lastResultDf = Some(PartitionedExec.s2s(batch, e))
-    epoch += 1
-
-    // Proxy 1 (F) forwards u < e1 of all records; proxy 2 (G+R) receives
-    // F's survivors (errCode == 0 with u < e1) and forwards the u < e2
-    // subset to the local aggregate. The flow model takes these counts as
-    // the epoch's lanes; F's forwarded count is modelled as floor(n·e1).
-    val (n, intoGr, localGr) = laneCounts(batch, e)
-    val fIntended = (n * e(0)).toLong
+    // Proxy 1 (F) sees every record; proxy 2 (G+R) receives F's local
+    // survivors and forwards the u < e2 subset to the local aggregate. The
+    // flow model takes these counts as the epoch's lanes; F's forwarded
+    // count is modelled as floor(n·e1).
+    val Seq(in, afterF) = runPlan(e)
+    val n = in.rows
     val lanes = new PlanFlow.Measured(
-      incoming = Array(n.toDouble, intoGr.toDouble),
-      intended = Array(fIntended.toDouble, localGr.toDouble),
+      incoming = Array(n.toDouble, afterF.incoming.toDouble),
+      intended = Array((n * e(0)).toLong.toDouble, afterF.intended.toDouble),
     )
     PlanFlow.evaluate(querySpec, p, budgetCores * Calibration.EpochSeconds, n.toDouble, lanes)
   }
 
   def runProfileEpoch(): ProfileEstimates = {
-    val batch = batchFor(epoch)
-    epoch += 1
-    // Relay ratios measured from the real batch; costs from calibration
-    // (true values — the Spark loop demonstrates the control path, the
-    // noisy-profiling behaviour is studied in the simulator).
-    val row = batch
-      .select(count(lit(1)) as "n",
-        sum(when(col("errCode") === 0, 1L).otherwise(0L)) as "kept")
-      .collect()(0)
-    val n = math.max(1L, row.getLong(0))
-    val kept = Option(row.get(1)).map(_.toString.toLong).getOrElse(0L)
-    val measuredKeep = kept.toDouble / n
-    val ops = querySpec.ops
+    // The batch is answered under the last plan; F's relay is measured from
+    // it, costs come from calibration (true values — the Spark loop
+    // demonstrates the control path, the noisy-profiling behaviour is
+    // studied in the simulator).
+    val Seq(in, afterF) = runPlan(lastE)
+    val n = math.max(1L, in.rows)
     ProfileEstimates(
-      costs = ops.map(_.costSecPerRec),
-      recRelays = Vector(measuredKeep, 1.0),
+      costs = querySpec.ops.map(_.costSecPerRec),
+      recRelays = Vector(afterF.rows.toDouble / n, 1.0),
       bytesAtOp = querySpec.bytesAtOp,
       budgetPerRec = budgetCores / math.max(n / Calibration.EpochSeconds, 1.0),
     )

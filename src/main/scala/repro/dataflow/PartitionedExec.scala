@@ -1,6 +1,6 @@
 package repro.dataflow
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Observation, functions}
 import org.apache.spark.sql.functions._
 
 /** Data-level partitioned execution of the monitoring queries (paper §IV).
@@ -8,21 +8,27 @@ import org.apache.spark.sql.functions._
   * Each record draws a deterministic uniform `u ∈ [0,1)` from its record id.
   * Because effective load factors are monotone (`e_1 ≥ e_2 ≥ … ≥ e_M`), a
   * single draw implements the whole proxy chain: a record is processed by
-  * local operator `i` iff `u < e_i`, and a record with `e_{i+1} ≤ u < e_i`
-  * is drained to the stream processor *after* local operator `i` — exactly
-  * the per-proxy drain paths of Fig. 5.
+  * local operator `i` iff `u < e_i`, so `lane = #{i : u < e_i}` — the number
+  * of operators it runs at the source — is its whole path (Fig. 5). A record
+  * with lane `L < M` is drained to the stream processor after local operator
+  * `L`, which runs operators `L+1..M` on it.
   *
-  * The source side of each plan is the narrow pre-shuffle stage (filter /
-  * parse / local join / per-source partial aggregates); the stream-processor
-  * side applies the operators a drained lane still needs and merges partial
-  * aggregation state (count/sum/min/max are incrementally mergeable — rule
-  * R-1 of §IV-B). The result is *identical* to the unpartitioned query for
-  * every monotone `e` — the losslessness Jarvis claims over data synopses —
-  * and the tests enforce that with DataFrame and DuckDB oracles.
+  * Every query is one [[Query]]: its stages before G+R, its group keys, its
+  * mergeable partial aggregates and its output projection. A plan is one
+  * pass over the batch with the lane as a column. The stages are per-record
+  * functions that carry the lane through, so applying them to every record
+  * runs each one wherever the record's lane puts it. One `groupBy` computes
+  * every partial aggregate twice, over the source's lane (`lane == M`) and
+  * over the drained lanes (`lane < M`), and the projection merges the two
+  * states (count/sum/min/max are incrementally mergeable — rule R-1 of
+  * §IV-B). The result is *identical* to the unpartitioned query for every
+  * monotone `e` — the losslessness Jarvis claims over data synopses — and
+  * the tests enforce that with DataFrame and DuckDB oracles.
   */
 object PartitionedExec {
 
   private val UScale = 1000000L
+  private val Lane = "lane"
 
   /** Deterministic uniform draw in [0,1) per record. */
   def uCol(recId: Column, seed: Long = 77L): Column =
@@ -34,80 +40,111 @@ object PartitionedExec {
       s"effective load factors must be non-increasing: $e")
   }
 
-  // ------------------------------------------------------------------
-  // S2SProbe: ops = [F, G+R], e = (e1, e2)
-  // ------------------------------------------------------------------
-
-  private def s2sPartial(df: DataFrame): DataFrame =
-    df.groupBy(Queries.winCol(col("ts")) as "win", col("srcIp"), col("dstIp"))
-      .agg(
-        count(lit(1)) as "p_cnt",
-        sum("rtt") as "p_sum",
-        max("rtt") as "p_max",
-        min("rtt") as "p_min",
-      )
-
-  private def mergePartials(partials: DataFrame, keys: Seq[String]): DataFrame =
-    partials
-      .groupBy(keys.map(col): _*)
-      .agg(
-        sum("p_cnt") as "cnt",
-        sum("p_sum") as "s_sum",
-        max("p_max") as "max_rtt",
-        min("p_min") as "min_rtt",
-      )
-      .select(keys.map(col) ++ Seq(
-        (col("s_sum") / col("cnt")) as "avg_rtt",
-        col("max_rtt"), col("min_rtt"), col("cnt"),
-      ): _*)
-
-  /** Execute S2SProbe under effective load factors `(e1, e2)`; the output
-    * matches [[Queries.s2sFull]] exactly.
+  /** A mergeable partial aggregate `fn(input)` named `name`; `merge`
+    * combines the source's state with the stream processor's.
     */
-  def s2s(pings: DataFrame, e: Seq[Double], seed: Long = 77L): DataFrame = {
-    require(e.length == 2, "S2SProbe has 2 operators (F, G+R)")
-    checkMonotone(e)
-    val Seq(e1, e2) = e.toSeq
-    val u = uCol(col("recId"), seed)
-    val tagged = pings.withColumn("u", u)
+  final case class Agg(name: String, input: Column, fn: Column => Column,
+                       merge: (Column, Column) => Column)
 
-    // Source side.
-    val drainedPreF = tagged.filter(col("u") >= e1)                      // raw records
-    val drainedPostF = Queries.pingFilter(tagged.filter(col("u") < e1 && col("u") >= e2))
-    val localAgg = s2sPartial(Queries.pingFilter(tagged.filter(col("u") < e2)))
+  object Agg {
+    private def add(a: Column, b: Column): Column = coalesce(a + b, a, b)
 
-    // Stream-processor side: complete the drained lanes, merge partials.
-    val spPartial = s2sPartial(Queries.pingFilter(drainedPreF).unionByName(drainedPostF))
-    mergePartials(localAgg.unionByName(spPartial), Seq("win", "srcIp", "dstIp"))
+    def count(name: String): Agg = Agg(name, lit(1), functions.count, add)
+    def sum(name: String, in: String): Agg = Agg(name, col(in), functions.sum, add)
+    def max(name: String, in: String): Agg = Agg(name, col(in), functions.max, greatest(_, _))
+    def min(name: String, in: String): Agg = Agg(name, col(in), functions.min, least(_, _))
   }
 
-  /** Execute S2SProbe with *per-source* effective load factors — each data
-    * source node runs its own independently-adapted plan (the paper's fully
-    * decentralized runtimes, §IV-A). Sources absent from the map drain
-    * everything (the Startup default).
+  /** Record counts at one stage boundary (0 = the input, `k` = after stage
+    * `k`): the rows there, the ones proxy `k+1` received from the local
+    * chain (lane ≥ k) and the ones it forwarded to its local operator
+    * (lane ≥ k+1).
     */
-  def s2sPerSource(
-      pings: DataFrame,
-      eBySource: Map[Long, (Double, Double)],
-      seed: Long = 77L,
-  ): DataFrame = {
-    eBySource.values.foreach { case (e1, e2) => checkMonotone(Seq(e1, e2)) }
-    val spark = pings.sparkSession
-    import spark.implicits._
-    val plans = eBySource.toSeq.map { case (s, (e1, e2)) => (s, e1, e2) }
-      .toDF("plan_src", "e1", "e2")
-    val tagged = pings
-      .withColumn("u", uCol(col("recId"), seed))
-      .join(plans, col("srcIp") === col("plan_src"), "left_outer")
-      .withColumn("e1", coalesce(col("e1"), lit(0.0)))
-      .withColumn("e2", coalesce(col("e2"), lit(0.0)))
+  final case class LaneCounts(rows: Long, incoming: Long, intended: Long)
 
-    val drainedPreF = tagged.filter(col("u") >= col("e1"))
-    val drainedPostF = Queries.pingFilter(tagged.filter(col("u") < col("e1") && col("u") >= col("e2")))
-    val localAgg = s2sPartial(Queries.pingFilter(tagged.filter(col("u") < col("e2"))))
-    val spPartial = s2sPartial(Queries.pingFilter(drainedPreF).unionByName(drainedPostF))
-    mergePartials(localAgg.unionByName(spPartial), Seq("win", "srcIp", "dstIp"))
+  /** One pass of a query. [[laneCounts]] blocks until an action on
+    * [[result]] has run. A boundary the optimizer removed (empty input)
+    * reports no metrics, which read as zero.
+    */
+  final class Pass(val result: DataFrame, observations: Seq[Observation]) {
+    def laneCounts: Seq[LaneCounts] = observations.map { o =>
+      val m = o.get
+      def long(k: String): Long = m.get(k).collect { case n: Number => n.longValue }.getOrElse(0L)
+      LaneCounts(long("rows"), long("incoming"), long("intended"))
+    }
   }
+
+  /** One query: the ordered stages before G+R (each keeps the `lane`
+    * column), the group keys, the partial aggregates and the output
+    * projection over the keys and the merged aggregates.
+    */
+  final case class Query(stages: Seq[DataFrame => DataFrame], keys: Seq[Column], aggs: Seq[Agg],
+                         output: Seq[Column]) {
+    def numOps: Int = stages.size + 1
+
+    /** Lane of every record under one effective-load-factor vector `e`. */
+    def lanes(e: Seq[Double], seed: Long = 77L): Column = {
+      require(e.length == numOps, s"$numOps operators, got load factors $e")
+      checkMonotone(e)
+      val u = uCol(col("recId"), seed)
+      e.map(ei => when(u < ei, 1).otherwise(0)).reduce(_ + _)
+    }
+
+    /** Lane of every record when each data source runs its own plan (the
+      * paper's decentralized runtimes, §IV-A). Sources absent from the map
+      * drain everything (the Startup default).
+      */
+    def lanesBySource(eBySource: Map[Long, Seq[Double]], seed: Long = 77L): Column =
+      eBySource.foldLeft(lit(0)) { case (otherwise, (src, e)) =>
+        when(col("srcIp") === src, lanes(e, seed)).otherwise(otherwise)
+      }
+
+    /** Run the partitioned plan over `input` with each record's `lane`. */
+    def run(input: DataFrame, lane: Column): Pass = {
+      val observations = Seq.fill(numOps)(Observation())
+      def observe(df: DataFrame, k: Int): DataFrame =
+        df.observe(observations(k), count(lit(1)) as "rows",
+          count_if(col(Lane) >= k) as "incoming", count_if(col(Lane) >= k + 1) as "intended")
+      val staged = stages.zipWithIndex.foldLeft(observe(input.withColumn(Lane, lane), 0)) {
+        case (df, (stage, k)) => observe(stage(df), k + 1)
+      }
+      val partials = aggs.flatMap { a =>
+        Seq(a.fn(when(col(Lane) === numOps, a.input)) as s"${a.name}_src",
+          a.fn(when(col(Lane) < numOps, a.input)) as s"${a.name}_sp")
+      }
+      val merged = aggs.map(a => a.merge(col(s"${a.name}_src"), col(s"${a.name}_sp")) as a.name)
+      val grouped = staged.groupBy(keys: _*).agg(partials.head, partials.tail: _*)
+      new Pass(grouped.select(col("*") +: merged: _*).select(output: _*), observations)
+    }
+  }
+
+  private val pingAggs = Seq(Agg.count("cnt"), Agg.sum("s_rtt", "rtt"), Agg.max("max_rtt", "rtt"),
+    Agg.min("min_rtt", "rtt"))
+
+  private def pingOutput(keys: String*): Seq[Column] = keys.map(col) ++ Seq(
+    (col("s_rtt") / col("cnt")) as "avg_rtt", col("max_rtt"), col("min_rtt"), col("cnt"))
+
+  /** S2SProbe: ops = [F, G+R]; matches [[Queries.s2sFull]]. */
+  val S2S: Query = Query(
+    Seq(Queries.pingFilter),
+    Seq(Queries.winCol(col("ts")) as "win", col("srcIp"), col("dstIp")),
+    pingAggs, pingOutput("win", "srcIp", "dstIp"))
+
+  /** T2TProbe: ops = [F, J, G+R]; matches [[Queries.t2tFull]]. The static
+    * ToR table is available on both sides, as in the paper.
+    */
+  def T2T(tor: DataFrame): Query = Query(
+    Seq(Queries.pingFilter, Queries.torJoin(_, tor, col(Lane))),
+    Seq(col("win"), col("srcTor"), col("dstTor")),
+    pingAggs, pingOutput("win", "srcTor", "dstTor"))
+
+  /** LogAnalytics: ops = [F, M, G+R]; matches [[Queries.logFull]]. */
+  val Log: Query = Query(
+    Seq(Queries.logFilter, Queries.logParse(_, col(Lane))),
+    Seq(col("win"), col("tenant"), col("bucket")),
+    Seq(Agg.count("cnt"), Agg.sum("s_cpu", "cpu"), Agg.sum("s_mem", "mem")),
+    Seq(col("win"), col("tenant"), col("bucket"), col("cnt"),
+      (col("s_cpu") / col("cnt")) as "avg_cpu", (col("s_mem") / col("cnt")) as "avg_mem"))
 
   /** Fault-tolerance path (paper §IV-E): a failing data source leaves
     * behind checkpointed partial aggregation state for the current window;
@@ -116,115 +153,13 @@ object PartitionedExec {
     * recovered result equals the failure-free query.
     *
     * @param checkpointed records the source had already folded into its
-    *                     partial state before failing
+    *                     partial state before failing (lane M)
     * @param replayed     records replayed raw to the SP after the failure
+    *                     (lane 0)
     */
   def s2sRecoverFromCheckpoint(checkpointed: DataFrame, replayed: DataFrame): DataFrame = {
-    val checkpointState = s2sPartial(Queries.pingFilter(checkpointed))
-    val spState = s2sPartial(Queries.pingFilter(replayed))
-    mergePartials(checkpointState.unionByName(spState), Seq("win", "srcIp", "dstIp"))
+    val input = checkpointed.withColumn(Lane, lit(S2S.numOps))
+      .unionByName(replayed.withColumn(Lane, lit(0)))
+    S2S.run(input, col(Lane)).result
   }
-
-  // ------------------------------------------------------------------
-  // T2TProbe: ops = [F, J, G+R], e = (e1, e2, e3)
-  // ------------------------------------------------------------------
-
-  private def t2tPartial(joined: DataFrame): DataFrame =
-    joined
-      .groupBy(col("win"), col("srcTor"), col("dstTor"))
-      .agg(
-        count(lit(1)) as "p_cnt",
-        sum("rtt") as "p_sum",
-        max("rtt") as "p_max",
-        min("rtt") as "p_min",
-      )
-
-  /** Execute T2TProbe under effective load factors `(e1, e2, e3)`; the
-    * output matches [[Queries.t2tFull]] exactly. The static ToR table is
-    * available on both sides, as in the paper.
-    */
-  def t2t(pings: DataFrame, tor: DataFrame, e: Seq[Double], seed: Long = 77L): DataFrame = {
-    require(e.length == 3, "T2TProbe has 3 operators (F, J, G+R)")
-    checkMonotone(e)
-    val Seq(e1, e2, e3) = e.toSeq
-    val tagged = pings.withColumn("u", uCol(col("recId"), seed))
-
-    // Source side.
-    val drainedPreF = tagged.filter(col("u") >= e1)
-    val drainedPostF = Queries.pingFilter(tagged.filter(col("u") < e1 && col("u") >= e2))
-    // Local join with u carried through, so the post-J drain lane (e3 ≤ u
-    // < e2) can split from the locally aggregated lane (u < e3).
-    val preJ = Queries.pingFilter(tagged.filter(col("u") < e2))
-    val joinedAll = preJ
-      .join(tor.select(col("ip") as "s_ip", col("tor") as "srcTor"), col("srcIp") === col("s_ip"))
-      .join(tor.select(col("ip") as "d_ip", col("tor") as "dstTor"), col("dstIp") === col("d_ip"))
-      .select(Queries.winCol(col("ts")) as "win", col("srcTor"), col("dstTor"), col("rtt"), col("u"))
-    val drainedPostJ = joinedAll.filter(col("u") >= e3).drop("u")
-    val localAgg = t2tPartial(joinedAll.filter(col("u") < e3))
-
-    // Stream-processor side.
-    val spJoined = Queries.torJoin(Queries.pingFilter(drainedPreF).unionByName(drainedPostF), tor)
-    val spPartial = t2tPartial(spJoined.unionByName(drainedPostJ))
-    mergePartials(localAgg.unionByName(spPartial), Seq("win", "srcTor", "dstTor"))
-  }
-
-  // ------------------------------------------------------------------
-  // LogAnalytics: ops = [F, M, G+R], e = (e1, e2, e3)
-  // ------------------------------------------------------------------
-
-  private def logPartial(parsed: DataFrame): DataFrame =
-    parsed
-      .groupBy(col("win"), col("tenant"), col("bucket"))
-      .agg(
-        count(lit(1)) as "p_cnt",
-        sum("cpu") as "p_sum_cpu",
-        sum("mem") as "p_sum_mem",
-      )
-
-  /** Execute LogAnalytics under effective load factors `(e1, e2, e3)`; the
-    * output matches [[Queries.logFull]] exactly.
-    */
-  def log(lines: DataFrame, e: Seq[Double], seed: Long = 77L): DataFrame = {
-    require(e.length == 3, "LogAnalytics has 3 operators (F, M, G+R)")
-    checkMonotone(e)
-    val Seq(e1, e2, e3) = e.toSeq
-    val tagged = lines.withColumn("u", uCol(col("recId"), seed))
-
-    // Source side.
-    val drainedPreF = tagged.filter(col("u") >= e1)                        // raw lines
-    val drainedPostF = Queries.logFilter(tagged.filter(col("u") < e1 && col("u") >= e2))
-    val postF = Queries.logFilter(tagged.filter(col("u") < e2))
-    // Local parse with u carried through, so the post-M drain lane (e3 ≤ u
-    // < e2) can split from the locally aggregated lane (u < e3).
-    val parsed = postF
-      .select(col("u"),
-        Queries.winCol(regexp_extract(col("raw"), "ts=(\\d+)", 1).cast("long")) as "win",
-        regexp_extract(col("raw"), "tenant=(t\\d+)", 1) as "tenant",
-        (regexp_extract(col("raw"), "lat_ms=(\\d+)", 1).cast("long") / 100).cast("long") as "bucket",
-        regexp_extract(col("raw"), "cpu=([\\d.]+)", 1).cast("double") as "cpu",
-        regexp_extract(col("raw"), "mem=(\\d+)", 1).cast("long") as "mem",
-      )
-    val drainedPostM = parsed.filter(col("u") >= e3).drop("u")
-    val localAgg = logPartial(parsed.filter(col("u") < e3))
-
-    // Stream-processor side.
-    val spParsed = Queries.logParse(Queries.logFilter(drainedPreF).unionByName(drainedPostF))
-    val spPartial = logPartial(spParsed.unionByName(drainedPostM))
-
-    logMerge(localAgg.unionByName(spPartial))
-  }
-
-  private def logMerge(partials: DataFrame): DataFrame =
-    partials
-      .groupBy(col("win"), col("tenant"), col("bucket"))
-      .agg(
-        sum("p_cnt") as "cnt",
-        sum("p_sum_cpu") as "s_cpu",
-        sum("p_sum_mem") as "s_mem",
-      )
-      .select(
-        col("win"), col("tenant"), col("bucket"), col("cnt"),
-        (col("s_cpu") / col("cnt")) as "avg_cpu",
-        (col("s_mem") / col("cnt")) as "avg_mem",
-      )
 }

@@ -1,6 +1,7 @@
 package repro.dataflow
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{lit, udf}
 import repro.core.adapt.{EpochObs, JarvisRuntime, Phase}
 import repro.core.model.{OpKind, OperatorSpec, QuerySpec}
 import repro.sim.SourceNodeSim
@@ -59,6 +60,31 @@ class EpochSparkDriverSpec extends SparkSpec {
     assert(gr.intended < gr.incoming * 0.7, s"intended=${gr.intended}")
   }
 
+  test("each epoch reads its batch exactly once") {
+    val reads = spark.sparkContext.longAccumulator("batch reads")
+    val counted = udf { () => reads.add(1); true }.asNondeterministic()
+    val d = new EpochSparkDriver(spark, testSpec, ep => batchFor(ep).filter(counted()), 1.0)
+    d.runEpoch(Vector(1.0, 0.5))
+    d.lastResult.get.collect()
+    assert(reads.value == RecsPerEpoch.toLong)
+    d.runProfileEpoch()
+    d.lastResult.get.collect()
+    assert(reads.value == 2 * RecsPerEpoch.toLong)
+  }
+
+  test("an empty batch gives finite observations and an empty result") {
+    val d = new EpochSparkDriver(spark, testSpec, ep => batchFor(ep).filter(lit(false)), 1.0)
+    def finite(xs: Double*): Boolean = xs.forall(x => !x.isNaN && !x.isInfinite)
+    val obs = d.runEpoch(Vector(1.0, 0.5))
+    assert(obs.proxies.forall(_.incoming == 0.0), s"obs=$obs")
+    assert(finite(obs.cpuDemand, obs.drainedBytes, obs.outputBytes, obs.utilization), s"obs=$obs")
+    assert(obs.proxies.forall(px => finite(px.intended, px.processed)), s"obs=$obs")
+    assert(d.lastResult.get.count() == 0)
+    val est = d.runProfileEpoch()
+    assert(finite(est.recRelays :+ est.budgetPerRec: _*), s"est=$est")
+    assert(d.lastResult.get.count() == 0)
+  }
+
   test("profile epoch measures the real filter relay") {
     val est = newDriver(1.0).runProfileEpoch()
     assert(est.recRelays(0) > 0.78 && est.recRelays(0) < 0.94, s"relay=${est.recRelays(0)}")
@@ -68,13 +94,11 @@ class EpochSparkDriverSpec extends SparkSpec {
     val d = newDriver(0.9)
     val rt = new JarvisRuntime(d)
     for (_ <- 0 until 10) {
-      rt.step()
-      // Every epoch's partitioned output equals the full query on that batch.
-      (d.lastResult, d.lastBatch) match {
-        case (Some(res), Some(batch)) =>
-          DfCompare.assertSameRows(res, Queries.s2sFull(batch), "mid-adaptation epoch")
-        case _ => // profile epochs produce no result
-      }
+      val entry = rt.step()
+      // Every epoch's partitioned output, Profile epochs included, equals
+      // the full query on that epoch's batch.
+      DfCompare.assertSameRows(d.lastResult.get, Queries.s2sFull(batchFor(d.currentEpoch - 1)),
+        s"${entry.phase} epoch ${d.currentEpoch - 1}")
     }
     assert(rt.convergences.nonEmpty, s"log=${rt.log.map(l => (l.phase, l.state))}")
     assert(rt.loadFactors.forall(_ > 0.9), s"p=${rt.loadFactors}")

@@ -1,8 +1,10 @@
 package repro.dataflow
 
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.scalacheck.Gen
 import repro.{DfCompare, Oracle, PropHelpers, SparkSpec}
+import repro.dataflow.PartitionedExec.{LaneCounts, Log, S2S, T2T}
 
 /** Losslessness of data-level partitioned execution (paper §II-B1, §VI-D):
   * for every monotone effective-load-factor vector the partitioned plan
@@ -37,11 +39,11 @@ class PartitionedExecSpec extends SparkSpec {
 
   for (e <- s2sGrid)
     test(s"S2SProbe partitioned == full at e=${e.mkString("(", ",", ")")}") {
-      DfCompare.assertSameRows(PartitionedExec.s2s(pings, e), s2sRef, s"s2s e=$e")
+      DfCompare.assertSameRows(S2S.run(pings, S2S.lanes(e)).result, s2sRef, s"s2s e=$e")
     }
 
   test("S2SProbe partitioned matches DuckDB directly at an interior plan") {
-    Oracle.assertEquivalent(PartitionedExec.s2s(pings, Seq(0.7, 0.7)), Queries.s2sSql,
+    Oracle.assertEquivalent(S2S.run(pings, S2S.lanes(Seq(0.7, 0.7))).result, Queries.s2sSql,
       "pings" -> pings)
   }
 
@@ -51,15 +53,15 @@ class PartitionedExecSpec extends SparkSpec {
       e2 <- Gen.choose(0.0, e1)
     } yield Seq(e1, e2)
     for (e <- PropHelpers.samples(gen, 6, seed = 31L))
-      DfCompare.assertSameRows(PartitionedExec.s2s(pings, e), s2sRef, s"s2s random e=$e")
+      DfCompare.assertSameRows(S2S.run(pings, S2S.lanes(e)).result, s2sRef, s"s2s random e=$e")
   }
 
   test("S2SProbe rejects non-monotone load factors") {
-    intercept[IllegalArgumentException] { PartitionedExec.s2s(pings, Seq(0.3, 0.6)) }
+    intercept[IllegalArgumentException] { S2S.run(pings, S2S.lanes(Seq(0.3, 0.6))).result }
   }
 
   test("S2SProbe rejects out-of-range load factors") {
-    intercept[IllegalArgumentException] { PartitionedExec.s2s(pings, Seq(1.2, 0.5)) }
+    intercept[IllegalArgumentException] { S2S.run(pings, S2S.lanes(Seq(1.2, 0.5))).result }
   }
 
   test("S2SProbe lanes partition the input exactly") {
@@ -73,6 +75,36 @@ class PartitionedExecSpec extends SparkSpec {
     // The split fractions track the load factors.
     val n = pings.count().toDouble
     assert(math.abs(lane2 / n - 0.25) < 0.03, s"local fraction ${lane2 / n}")
+
+    // The counts each plan observes at its stage boundaries equal direct
+    // filter counts on the same frames with `u` carried through.
+    def direct(boundaries: Seq[DataFrame], e: Seq[Double]): Seq[LaneCounts] =
+      boundaries.zipWithIndex.map { case (df, k) =>
+        def below(i: Int) = if (i == 0) df.count() else df.filter(col("u") < e(i - 1)).count()
+        LaneCounts(df.count(), below(k), below(k + 1))
+      }
+    def observed(q: PartitionedExec.Query, input: DataFrame, lane: Column): Seq[LaneCounts] = {
+      val pass = q.run(input, lane)
+      pass.result.collect()
+      pass.laneCounts
+    }
+    val filtered = Queries.pingFilter(tagged)
+    assert(observed(S2S, pings, S2S.lanes(e)) == direct(Seq(tagged, filtered), e))
+    val e3 = Seq(0.8, 0.6, 0.2)
+    assert(observed(T2T(tor), pings, T2T(tor).lanes(e3)) ==
+      direct(Seq(tagged, filtered, Queries.torJoin(filtered, tor, col("u"))), e3))
+    val logTagged = lines.withColumn("u", u)
+    val logFiltered = Queries.logFilter(logTagged)
+    assert(observed(Log, lines, Log.lanes(e3)) ==
+      direct(Seq(logTagged, logFiltered, Queries.logParse(logFiltered, col("u"))), e3))
+    // Per-source plans: sources 1 and 3 are unmapped and drain everything.
+    val plans = Map(0L -> Seq(1.0, 1.0), 2L -> Seq(0.7, 0.3), 4L -> Seq(0.5, 0.1))
+    val bySource = (0L until 5L).map { src =>
+      val mine = tagged.filter(col("srcIp") === src)
+      direct(Seq(mine, Queries.pingFilter(mine)), plans.getOrElse(src, Seq(0.0, 0.0)))
+    }.transpose.map(_.reduce((a, b) =>
+      LaneCounts(a.rows + b.rows, a.incoming + b.incoming, a.intended + b.intended)))
+    assert(observed(S2S, pings, S2S.lanesBySource(plans)) == bySource)
   }
 
   // ------------------------------------------------------------------
@@ -81,30 +113,30 @@ class PartitionedExecSpec extends SparkSpec {
 
   test("per-source plans: heterogeneous load factors are lossless") {
     val plans = Map(
-      0L -> (1.0, 1.0),   // rich source: everything local
-      1L -> (0.0, 0.0),   // poor source: everything drained
-      2L -> (0.7, 0.7),   // LP interior plan
-      3L -> (1.0, 0.33),  // filter-first plan
-      4L -> (0.5, 0.1),
+      0L -> Seq(1.0, 1.0),   // rich source: everything local
+      1L -> Seq(0.0, 0.0),   // poor source: everything drained
+      2L -> Seq(0.7, 0.7),   // LP interior plan
+      3L -> Seq(1.0, 0.33),  // filter-first plan
+      4L -> Seq(0.5, 0.1),
     )
-    DfCompare.assertSameRows(PartitionedExec.s2sPerSource(pings, plans), s2sRef, "per-source")
+    DfCompare.assertSameRows(S2S.run(pings, S2S.lanesBySource(plans)).result, s2sRef, "per-source")
   }
 
   test("per-source plans: sources missing from the map default to All-SP") {
-    val plans = Map(0L -> (1.0, 1.0)) // sources 1..4 unmapped
-    DfCompare.assertSameRows(PartitionedExec.s2sPerSource(pings, plans), s2sRef,
+    val plans = Map(0L -> Seq(1.0, 1.0)) // sources 1..4 unmapped
+    DfCompare.assertSameRows(S2S.run(pings, S2S.lanesBySource(plans)).result, s2sRef,
       "per-source defaults")
   }
 
   test("per-source plans match DuckDB directly") {
-    val plans = Map(0L -> (0.9, 0.4), 1L -> (0.2, 0.2), 2L -> (1.0, 0.0))
-    Oracle.assertEquivalent(PartitionedExec.s2sPerSource(pings, plans), Queries.s2sSql,
+    val plans = Map(0L -> Seq(0.9, 0.4), 1L -> Seq(0.2, 0.2), 2L -> Seq(1.0, 0.0))
+    Oracle.assertEquivalent(S2S.run(pings, S2S.lanesBySource(plans)).result, Queries.s2sSql,
       "pings" -> pings)
   }
 
   test("per-source plans reject non-monotone vectors") {
     intercept[IllegalArgumentException] {
-      PartitionedExec.s2sPerSource(pings, Map(0L -> (0.2, 0.8)))
+      S2S.run(pings, S2S.lanesBySource(Map(0L -> Seq(0.2, 0.8)))).result
     }
   }
 
@@ -122,12 +154,12 @@ class PartitionedExecSpec extends SparkSpec {
 
   for (e <- t2tGrid)
     test(s"T2TProbe partitioned == full at e=${e.mkString("(", ",", ")")}") {
-      DfCompare.assertSameRows(PartitionedExec.t2t(pings, tor, e), t2tRef, s"t2t e=$e")
+      DfCompare.assertSameRows(T2T(tor).run(pings, T2T(tor).lanes(e)).result, t2tRef, s"t2t e=$e")
     }
 
   test("T2TProbe partitioned matches DuckDB directly at an interior plan") {
-    Oracle.assertEquivalent(PartitionedExec.t2t(pings, tor, Seq(1.0, 0.5, 0.5)), Queries.t2tSql,
-      "pings" -> pings, "tormap" -> tor)
+    Oracle.assertEquivalent(T2T(tor).run(pings, T2T(tor).lanes(Seq(1.0, 0.5, 0.5))).result,
+      Queries.t2tSql, "pings" -> pings, "tormap" -> tor)
   }
 
   test("T2TProbe property: random monotone plans are lossless") {
@@ -137,7 +169,8 @@ class PartitionedExecSpec extends SparkSpec {
       e3 <- Gen.choose(0.0, e2)
     } yield Seq(e1, e2, e3)
     for (e <- PropHelpers.samples(gen, 4, seed = 37L))
-      DfCompare.assertSameRows(PartitionedExec.t2t(pings, tor, e), t2tRef, s"t2t random e=$e")
+      DfCompare.assertSameRows(T2T(tor).run(pings, T2T(tor).lanes(e)).result, t2tRef,
+        s"t2t random e=$e")
   }
 
   // ------------------------------------------------------------------
@@ -154,11 +187,11 @@ class PartitionedExecSpec extends SparkSpec {
 
   for (e <- logGrid)
     test(s"LogAnalytics partitioned == full at e=${e.mkString("(", ",", ")")}") {
-      DfCompare.assertSameRows(PartitionedExec.log(lines, e), logRef, s"log e=$e")
+      DfCompare.assertSameRows(Log.run(lines, Log.lanes(e)).result, logRef, s"log e=$e")
     }
 
   test("LogAnalytics partitioned matches DuckDB directly at an interior plan") {
-    Oracle.assertEquivalent(PartitionedExec.log(lines, Seq(1.0, 0.4, 0.4)), Queries.logSql,
+    Oracle.assertEquivalent(Log.run(lines, Log.lanes(Seq(1.0, 0.4, 0.4))).result, Queries.logSql,
       "logs" -> lines.select("raw"))
   }
 
@@ -169,7 +202,7 @@ class PartitionedExecSpec extends SparkSpec {
       e3 <- Gen.choose(0.0, e2)
     } yield Seq(e1, e2, e3)
     for (e <- PropHelpers.samples(gen, 4, seed = 41L))
-      DfCompare.assertSameRows(PartitionedExec.log(lines, e), logRef, s"log random e=$e")
+      DfCompare.assertSameRows(Log.run(lines, Log.lanes(e)).result, logRef, s"log random e=$e")
   }
 
   // ------------------------------------------------------------------
